@@ -3,55 +3,6 @@ open Graphio_flow
 
 type profile = { chains : int array array }
 
-let n_chains p = Array.length p.chains
-
-let descendants g v =
-  let n = Dag.n_vertices g in
-  let seen = Array.make n false in
-  let stack = Stack.create () in
-  Dag.iter_succ g v (fun w ->
-      if not seen.(w) then begin
-        seen.(w) <- true;
-        Stack.push w stack
-      end);
-  while not (Stack.is_empty stack) do
-    let u = Stack.pop stack in
-    Dag.iter_succ g u (fun w ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          Stack.push w stack
-        end)
-  done;
-  seen
-
-(* Min over downward-closed P (v in P, P disjoint from desc_v) of the
-   number of counted boundary vertices of P: the Convex_mincut network
-   with the unit vertex capacity kept only on counted vertices. *)
-let counted_min_cut g ~counted ~desc_v v =
-  if Dag.out_degree g v = 0 then 0
-  else begin
-    let n = Dag.n_vertices g in
-    (* Node layout: u_in = 2u, u_out = 2u + 1, s = 2n, t = 2n + 1. *)
-    let net = Dinic.create ((2 * n) + 2) in
-    let s = 2 * n and t = (2 * n) + 1 in
-    let node_in u = 2 * u and node_out u = (2 * u) + 1 in
-    for u = 0 to n - 1 do
-      if counted.(u) then
-        Dinic.add_edge net ~src:(node_in u) ~dst:(node_out u) ~cap:1
-    done;
-    Dag.iter_edges g (fun u w ->
-        (* u interior => w in S *)
-        Dinic.add_edge net ~src:(node_out u) ~dst:(node_in w) ~cap:Dinic.inf_cap;
-        (* downward closure: w in S => u in S *)
-        Dinic.add_edge net ~src:(node_in w) ~dst:(node_in u) ~cap:Dinic.inf_cap);
-    Dinic.add_edge net ~src:s ~dst:(node_in v) ~cap:Dinic.inf_cap;
-    for d = 0 to n - 1 do
-      if desc_v.(d) then
-        Dinic.add_edge net ~src:(node_in d) ~dst:t ~cap:Dinic.inf_cap
-    done;
-    Dinic.max_flow net ~s ~sink:t
-  end
-
 (* One longest path, source to deepest sink, by walking levels backwards
    (deterministic: deepest vertex of smallest id, then the smallest-id
    predecessor one level up). *)
@@ -89,23 +40,27 @@ let profile g =
   let n = Dag.n_vertices g in
   if n = 0 then { chains = [||] }
   else begin
-    let desc_memo = Hashtbl.create 64 in
+    let net = Closure_net.create g in
+    let desc_memo = Hashtbl.create 16 in
     let desc v =
       match Hashtbl.find_opt desc_memo v with
       | Some d -> d
       | None ->
-          let d = descendants g v in
+          let d = Closure_net.descendants g v in
           Hashtbl.add desc_memo v d;
           d
     in
-    let all_counted = Array.make n true in
     let flow_memo = Hashtbl.create 64 in
+    (* C_i counts only strict descendants of the previous anchor; the
+       first anchor of a chain counts every vertex. *)
     let counted_cut ~prev v =
       match Hashtbl.find_opt flow_memo (prev, v) with
       | Some c -> c
       | None ->
-          let counted = if prev < 0 then all_counted else desc prev in
-          let c = counted_min_cut g ~counted ~desc_v:(desc v) v in
+          let c =
+            if prev < 0 then Closure_net.wavefront net v
+            else Closure_net.cut net ~counted:(desc prev) v
+          in
           Hashtbl.add flow_memo (prev, v) c;
           c
     in
@@ -129,11 +84,22 @@ let profile g =
         if Array.length c > 0 then chains := c :: !chains)
       [ 1; 2; 4 ];
     Array.iter (fun v -> chains := [| v |] :: !chains) candidates;
-    if n <= singleton_sweep_limit then
-      for v = 0 to n - 1 do
-        chains := [| v |] :: !chains
-      done;
-    { chains = Array.map eval_chain (Array.of_list (List.rev !chains)) }
+    let chains = Array.map eval_chain (Array.of_list (List.rev !chains)) in
+    if n > singleton_sweep_limit then { chains }
+    else begin
+      (* Of the singleton chains only the largest count can reach the
+         bound, so the sweep over every vertex keeps just max_v C(v),
+         seeded with the candidates' singleton cuts. *)
+      let known =
+        Array.to_list
+          (Array.map
+             (fun v ->
+               { Convex_mincut.vertex = v; wavefront = counted_cut ~prev:(-1) v })
+             candidates)
+      in
+      let best = Convex_mincut.sweep net ~known in
+      { chains = Array.append chains [| [| best.wavefront |] |] }
+    end
   end
 
 let bound_of_profile { chains } ~m =

@@ -13,11 +13,13 @@
     {v J* >= 2 * sum_i max(0, C_i - M) v}
 
     Each [C_i] is a vertex-capacitated min cut (capacity 1 on counted
-    vertices, 0 otherwise) computed with Dinic on the same
-    downward-closure network as [Convex_mincut].  With a single anchor
-    and all vertices counted this degenerates to the convex min-cut
-    bound, and the profile always includes that sweep on small graphs,
-    so the visit bound dominates the min-cut baseline there.
+    vertices, 0 otherwise) on the graph's
+    {!Graphio_flow.Closure_net}, the same downward-closure network as
+    [Convex_mincut], built once per profile.  With a single anchor and
+    all vertices counted this degenerates to the convex min-cut bound,
+    and on small graphs the profile always includes its exact maximum
+    [max_v C(v)], so the visit bound dominates the min-cut baseline
+    there.
 
     The profile (per-chain count arrays) is independent of the fast
     memory size [M]; {!bound_of_profile} folds a given [M] over it, so
@@ -29,10 +31,12 @@ type profile
 val profile : Graphio_graph.Dag.t -> profile
 (** Computes counted-cut chains: the critical path subsampled to at most
     16 anchors at strides 1, 2 and 4, each anchor as a singleton chain,
-    and (when [n <= 256]) a singleton sweep over every vertex. *)
-
-val n_chains : profile -> int
-(** Number of candidate chains evaluated (for tests and telemetry). *)
+    and (when [n <= 256]) the one-element chain [[| max_v C(v) |]].  A
+    singleton chain adds [max(0, C(v) - M)], so that one chain gives the
+    bound of a singleton chain for every vertex; it comes from the pruned
+    sweep {!Graphio_flow.Convex_mincut.sweep}, seeded with the anchors'
+    singleton cuts, and the bound is the same as with every vertex's
+    chain. *)
 
 val bound_of_profile : profile -> m:int -> int
 (** [2 * max] over chains of [sum_i max(0, C_i - m)].  Raises

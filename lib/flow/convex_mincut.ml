@@ -5,67 +5,53 @@ type per_vertex = {
   wavefront : int;
 }
 
-let descendants g v =
-  let n = Dag.n_vertices g in
-  let seen = Array.make n false in
-  let stack = Stack.create () in
-  Dag.iter_succ g v (fun w ->
-      if not seen.(w) then begin
-        seen.(w) <- true;
-        Stack.push w stack
-      end);
-  while not (Stack.is_empty stack) do
-    let u = Stack.pop stack in
-    Dag.iter_succ g u (fun w ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          Stack.push w stack
-        end)
-  done;
-  seen
-
-let min_wavefront g v =
-  if Dag.out_degree g v = 0 then 0
-  else begin
-    let n = Dag.n_vertices g in
-    (* Node layout: u_in = 2u, u_out = 2u + 1, s = 2n, t = 2n + 1. *)
-    let net = Dinic.create ((2 * n) + 2) in
-    let s = 2 * n and t = (2 * n) + 1 in
-    let node_in u = 2 * u and node_out u = (2 * u) + 1 in
-    for u = 0 to n - 1 do
-      Dinic.add_edge net ~src:(node_in u) ~dst:(node_out u) ~cap:1
-    done;
-    Dag.iter_edges g (fun u w ->
-        (* u interior => w in S *)
-        Dinic.add_edge net ~src:(node_out u) ~dst:(node_in w) ~cap:Dinic.inf_cap;
-        (* downward closure: w in S => u in S *)
-        Dinic.add_edge net ~src:(node_in w) ~dst:(node_in u) ~cap:Dinic.inf_cap);
-    Dinic.add_edge net ~src:s ~dst:(node_in v) ~cap:Dinic.inf_cap;
-    let desc = descendants g v in
-    for d = 0 to n - 1 do
-      if desc.(d) then Dinic.add_edge net ~src:(node_in d) ~dst:t ~cap:Dinic.inf_cap
-    done;
-    Dinic.max_flow net ~s ~sink:t
-  end
+let min_wavefront g v = Closure_net.wavefront (Closure_net.create g) v
 
 let c_wavefronts = Graphio_obs.Metrics.counter "flow.mincut.wavefronts"
+let c_pruned = Graphio_obs.Metrics.counter "flow.mincut.pruned"
 
 let h_wavefront_seconds =
   Graphio_obs.Metrics.histogram "flow.mincut.wavefront_seconds"
 
+(* The running best is the smallest vertex attaining the largest value
+   seen; [vertex = -1] until the first value. *)
+let improves best v c =
+  best.vertex < 0 || c > best.wavefront
+  || (c = best.wavefront && v < best.vertex)
+
+let sweep net ~known =
+  let n = Closure_net.n_vertices net in
+  let best = ref { vertex = -1; wavefront = 0 } in
+  let is_known = Array.make n false in
+  List.iter
+    (fun p ->
+      is_known.(p.vertex) <- true;
+      if improves !best p.vertex p.wavefront then best := p)
+    known;
+  let ub = Array.init n (Closure_net.upper_bound net) in
+  let order = Array.init n Fun.id in
+  (* Decreasing bound; the stable sort keeps ties in vertex order. *)
+  Array.stable_sort (fun a b -> compare ub.(b) ub.(a)) order;
+  Array.iter
+    (fun v ->
+      if not is_known.(v) then
+        (* C(v) <= ub(v), so v can only take over the running best when
+           ub(v) beats it, or ties it from a smaller vertex. *)
+        if improves !best v ub.(v) then begin
+          let c =
+            Graphio_obs.Metrics.time h_wavefront_seconds (fun () ->
+                Closure_net.wavefront net v)
+          in
+          Graphio_obs.Metrics.incr c_wavefronts;
+          if improves !best v c then best := { vertex = v; wavefront = c }
+        end
+        else Graphio_obs.Metrics.incr c_pruned)
+    order;
+  !best
+
 let max_wavefront g =
   Graphio_obs.Span.with_ "mincut.max_wavefront" (fun () ->
-      let best = ref { vertex = -1; wavefront = 0 } in
-      for v = 0 to Dag.n_vertices g - 1 do
-        let c =
-          Graphio_obs.Metrics.time h_wavefront_seconds (fun () ->
-              min_wavefront g v)
-        in
-        Graphio_obs.Metrics.incr c_wavefronts;
-        if c > !best.wavefront || !best.vertex < 0 then
-          best := { vertex = v; wavefront = c }
-      done;
-      !best)
+      sweep (Closure_net.create g) ~known:[])
 
 let bound_of_wavefront best ~m =
   if m < 0 then invalid_arg "Convex_mincut.bound_of_wavefront: negative memory size";
@@ -83,12 +69,7 @@ let bound_partitioned g ~m ~part_size =
   let part = Partition.balanced g ~part_size in
   let total = ref 0 in
   for p = 0 to Partition.count part - 1 do
-    let vs = Partition.members part p in
-    let sub, _mapping = Dag.induced_subgraph g vs in
-    let best = ref 0 in
-    for v = 0 to Dag.n_vertices sub - 1 do
-      best := max !best (min_wavefront sub v)
-    done;
-    total := !total + max 0 (2 * (!best - m))
+    let sub, _mapping = Dag.induced_subgraph g (Partition.members part p) in
+    total := !total + bound_of_wavefront (max_wavefront sub) ~m
   done;
   !total

@@ -13,18 +13,20 @@
     [J*_G >= max_v max(0, 2 (C(v, G) − M))]
 
     where [C(v, G)] is the {e minimum} wavefront size over all such [S].
-    [C(v, G)] is computed exactly as a min [s]-[t] cut on a vertex-split
-    network: vertex [u] is split into [u_in -> u_out] of capacity 1 (cut
-    iff [u] is on the wavefront), infinite arcs [u_out -> w_in] and
-    [w_in -> u_in] per edge [(u, w)] encode "interior implies successors
-    inside" and downward closure, [s] feeds [v_in], and every descendant's
-    [in]-node feeds [t].
+    [C(v, G)] is computed exactly as a min cut on the graph's
+    {!Closure_net}, built once and reused for every [v].
 
-    The whole-graph bound maximizes over all [v] ([O(n)] max-flow runs —
-    the [O(n^5)] behaviour the paper measures in Figure 11).  The
-    partitioned variant follows the original authors' [2M]-sub-graph
-    suggestion; the paper reports (and we reproduce) that it is trivial on
-    complex graphs. *)
+    The whole-graph bound is the exact [max_v C(v, G)], found by a pruned
+    sweep: every vertex gets a cheap upper bound
+    ({!Closure_net.upper_bound}, two traversals, no max-flow), vertices
+    are visited in decreasing bound order, and a vertex whose bound cannot
+    beat the running best is skipped.  The value and the maximizing vertex
+    are those of the exhaustive sweep over all [n] vertices — only the
+    number of max-flow runs drops, typically to a small fraction of [n].
+    (The paper's Figure 11 times the exhaustive sweep.)  The partitioned
+    variant follows the original authors' [2M]-sub-graph suggestion; the
+    paper reports (and we reproduce) that it is trivial on complex
+    graphs. *)
 
 type per_vertex = {
   vertex : int;
@@ -35,9 +37,18 @@ val min_wavefront : Graphio_graph.Dag.t -> int -> int
 (** [min_wavefront g v] = [C(v, G)].  [0] when [v] has no successors. *)
 
 val max_wavefront : Graphio_graph.Dag.t -> per_vertex
-(** [max_v C(v, G)] with its maximizing vertex — the expensive part of the
-    bound, independent of [M]; sweeps over many [M] values should compute
-    it once and finish with {!bound_of_wavefront}. *)
+(** [max_v C(v, G)] with its maximizing vertex (the smallest one on
+    ties) — the expensive part of the bound, independent of [M]; sweeps
+    over many [M] values should compute it once and finish with
+    {!bound_of_wavefront}.  Counts the cuts it runs in
+    [flow.mincut.wavefronts] and the vertices it skips in
+    [flow.mincut.pruned]; [{vertex = -1; wavefront = 0}] on the empty
+    graph. *)
+
+val sweep : Closure_net.t -> known:per_vertex list -> per_vertex
+(** The pruned sweep behind {!max_wavefront}, on a caller's network.
+    [known] lists vertices whose [C(v, G)] the caller has already cut;
+    they seed the running best and are not cut again.  Runs no span. *)
 
 val bound_of_wavefront : per_vertex -> m:int -> int
 (** [max 0 (2 (C - M))]. *)

@@ -16,17 +16,28 @@ val create : int -> t
 
 val add_edge : t -> src:int -> dst:int -> cap:int -> unit
 (** Adds a directed edge (and its residual reverse of capacity 0).
-    Capacities must be nonnegative.  Parallel edges are allowed. *)
+    Capacities must be nonnegative.  Parallel edges are allowed.  Edges
+    are numbered [0, 1, ...] in the order they are added; raises
+    [Invalid_argument] once the network has been solved or its
+    capacities changed. *)
 
 val n_nodes : t -> int
 
+val set_capacity : t -> edge:int -> cap:int -> unit
+(** [set_capacity t ~edge ~cap] replaces the original capacity of the
+    [edge]-th added edge; it takes effect at the next {!max_flow}.  This
+    is how one network serves many cuts that differ only in a few
+    capacities.  Raises [Invalid_argument] on an unknown edge or a
+    negative capacity. *)
+
 val max_flow : t -> s:int -> sink:int -> int
-(** Computes the max [s]-[sink] flow.  May be called once per network
-    (flows persist); raises [Invalid_argument] if [s = sink]. *)
+(** Computes the max [s]-[sink] flow.  Every call starts from the
+    original capacities, so a network may be solved any number of times,
+    for any pair of nodes.  Raises [Invalid_argument] if [s = sink]. *)
 
 val min_cut_side : t -> s:int -> bool array
 (** After {!max_flow}: the source side of a minimum cut (nodes reachable
-    from [s] in the residual network). *)
+    from [s] in the residual network of the last solve). *)
 
 val cut_value : t -> bool array -> int
 (** Total capacity of original edges leaving the given side (checks the

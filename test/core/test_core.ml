@@ -959,8 +959,8 @@ let prop_portfolio_decompose_differential =
         Method.all)
 
 (* On graphs small enough for the singleton sweep (n <= 256) the visit
-   profile contains every single-anchor all-counted chain, so the visit
-   bound dominates the convex min-cut baseline by construction. *)
+   profile contains the largest single-anchor all-counted chain, so the
+   visit bound dominates the convex min-cut baseline by construction. *)
 let prop_visit_dominates_mincut =
   QCheck2.Test.make ~name:"visit bound >= convex min-cut (n <= 256)"
     ~count:30

@@ -64,6 +64,18 @@ let test_dinic_parallel_edges () =
   Dinic.add_edge net ~src:0 ~dst:1 ~cap:3;
   Alcotest.(check int) "summed" 5 (Dinic.max_flow net ~s:0 ~sink:1)
 
+(* A second solve must not see the first solve's residual flow. *)
+let test_dinic_max_flow_repeatable () =
+  let net = Dinic.create 6 in
+  let edges =
+    [ (0, 1, 16); (0, 2, 13); (1, 2, 10); (2, 1, 4); (1, 3, 12); (3, 2, 9);
+      (2, 4, 14); (4, 3, 7); (3, 5, 20); (4, 5, 4) ]
+  in
+  List.iter (fun (src, dst, cap) -> Dinic.add_edge net ~src ~dst ~cap) edges;
+  Alcotest.(check int) "first" 23 (Dinic.max_flow net ~s:0 ~sink:5);
+  Alcotest.(check int) "again" 23 (Dinic.max_flow net ~s:0 ~sink:5);
+  Alcotest.(check int) "other pair" 19 (Dinic.max_flow net ~s:1 ~sink:3)
+
 let test_dinic_validation () =
   let net = Dinic.create 2 in
   Alcotest.check_raises "same node" (Invalid_argument "Dinic.max_flow: source equals sink")
@@ -267,6 +279,81 @@ let test_empty_graph_bound () =
   Alcotest.(check int) "empty" 0 (Convex_mincut.bound g ~m:4)
 
 (* ------------------------------------------------------------------ *)
+(* Closure network and the pruned sweeps against the reference         *)
+(* ------------------------------------------------------------------ *)
+
+let named_graphs =
+  let open Graphio_workloads in
+  [
+    ("fft:4", Fft.build 4);
+    ("fft:5", Fft.build 5);
+    ("bhk:5", Bhk.build 5);
+    ("bhk:7", Bhk.build 7);
+    ("grid:6:6", Stencil.grid ~rows:6 ~cols:6);
+    ("grid:10:10", Stencil.grid ~rows:10 ~cols:10);
+    ("matmul:3", Matmul.build 3);
+    ("matmul:4", Matmul.build 4);
+  ]
+
+let test_max_wavefront_matches_reference () =
+  List.iter
+    (fun (name, g) ->
+      let value, vertex = Reference.max_wavefront g in
+      let m = 2 in
+      let b, best = Convex_mincut.bound_detailed g ~m in
+      Alcotest.(check (pair int int))
+        (name ^ ": value and vertex") (value, vertex)
+        (best.Convex_mincut.wavefront, best.Convex_mincut.vertex);
+      Alcotest.(check int) (name ^ ": bound") (max 0 (2 * (value - m))) b)
+    named_graphs
+
+let test_visit_matches_reference () =
+  List.iter
+    (fun (name, g) ->
+      let chains = Reference.visit_chains g in
+      let prof = Graphio_core.Visit_bound.profile g in
+      for m = 0 to Dag.n_vertices g do
+        Alcotest.(check int)
+          (Printf.sprintf "%s: M=%d" name m)
+          (Reference.visit_bound chains ~m)
+          (Graphio_core.Visit_bound.bound_of_profile prof ~m)
+      done)
+    (("fft:6 (no sweep)", Graphio_workloads.Fft.build 6) :: named_graphs)
+
+(* Deterministic work of the pruned sweep: a silent fall-back to cutting
+   every vertex changes these counts. *)
+let test_sweep_cut_counts () =
+  let wavefronts = Graphio_obs.Metrics.counter "flow.mincut.wavefronts" in
+  let pruned = Graphio_obs.Metrics.counter "flow.mincut.pruned" in
+  List.iter
+    (fun (name, g, cuts, skipped) ->
+      let w0 = Graphio_obs.Metrics.counter_value wavefronts in
+      let p0 = Graphio_obs.Metrics.counter_value pruned in
+      ignore (Convex_mincut.max_wavefront g);
+      let w = Graphio_obs.Metrics.counter_value wavefronts - w0 in
+      let p = Graphio_obs.Metrics.counter_value pruned - p0 in
+      Alcotest.(check (pair int int)) (name ^ ": cuts, pruned") (cuts, skipped) (w, p);
+      Alcotest.(check int) (name ^ ": every vertex accounted") (Dag.n_vertices g) (w + p))
+    [
+      ("grid:10:10", Graphio_workloads.Stencil.grid ~rows:10 ~cols:10, 1, 99);
+      ("bhk:7", Graphio_workloads.Bhk.build 7, 1, 127);
+    ]
+
+let test_reused_cut_after_other_vertex () =
+  let g = Graphio_workloads.Bhk.build 5 in
+  let n = Dag.n_vertices g in
+  let net = Closure_net.create g in
+  let all = Array.make n true in
+  let counted = Closure_net.descendants g 1 in
+  List.iter
+    (fun (counted, v) ->
+      Alcotest.(check int)
+        (Printf.sprintf "vertex %d" v)
+        (Reference.counted_cut g ~counted v)
+        (Closure_net.cut net ~counted v))
+    [ (all, n / 2); (counted, 3); (all, 0); (counted, n / 2); (all, n / 2) ]
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -301,8 +388,57 @@ let prop_mincut_brute_small =
       done;
       !ok)
 
+let er_any_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 36 in
+    let* p = float_range 0.03 0.5 in
+    let* seed = int_range 0 100000 in
+    return (Er.gnp ~n ~p ~seed))
+
+let prop_max_wavefront_reference =
+  QCheck2.Test.make ~name:"pruned max wavefront = exhaustive (value, vertex)"
+    ~count:150 er_any_gen (fun g ->
+      let best = Convex_mincut.max_wavefront g in
+      Reference.max_wavefront g = (best.wavefront, best.vertex))
+
+let prop_visit_reference =
+  QCheck2.Test.make ~name:"visit bound = reference profile, every M" ~count:60
+    er_any_gen (fun g ->
+      let chains = Reference.visit_chains g in
+      List.for_all
+        (fun m -> Graphio_core.Visit_bound.bound g ~m = Reference.visit_bound chains ~m)
+        (List.init (Dag.n_vertices g + 1) Fun.id))
+
+let prop_reused_cut =
+  QCheck2.Test.make ~name:"reused network cut = fresh network cut" ~count:100
+    QCheck2.Gen.(
+      let* g = er_any_gen in
+      let n = Dag.n_vertices g in
+      let* queries =
+        list_size (int_range 1 8)
+          (pair (int_range 0 (n - 1)) (array_size (return n) bool))
+      in
+      return (g, queries))
+    (fun (g, queries) ->
+      let net = Closure_net.create g in
+      List.for_all
+        (fun (v, counted) ->
+          Closure_net.cut net ~counted v = Reference.counted_cut g ~counted v)
+        queries)
+
+let prop_upper_bound =
+  QCheck2.Test.make ~name:"upper bound >= wavefront" ~count:100 er_any_gen (fun g ->
+      let net = Closure_net.create g in
+      List.for_all
+        (fun v -> Closure_net.upper_bound net v >= Closure_net.wavefront net v)
+        (List.init (Dag.n_vertices g) Fun.id))
+
 let props =
-  List.map QCheck_alcotest.to_alcotest [ prop_wavefront_bounded; prop_mincut_brute_small ]
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_wavefront_bounded; prop_mincut_brute_small; prop_max_wavefront_reference;
+      prop_visit_reference; prop_reused_cut; prop_upper_bound;
+    ]
 
 let () =
   Alcotest.run "graphio_flow"
@@ -317,6 +453,7 @@ let () =
           Alcotest.test_case "min cut matches flow" `Quick test_dinic_mincut_matches_flow;
           Alcotest.test_case "zero capacity" `Quick test_dinic_zero_capacity;
           Alcotest.test_case "parallel edges" `Quick test_dinic_parallel_edges;
+          Alcotest.test_case "max flow repeatable" `Quick test_dinic_max_flow_repeatable;
           Alcotest.test_case "validation" `Quick test_dinic_validation;
           Alcotest.test_case "vs brute force" `Quick test_dinic_vs_brute_force_random;
         ] );
@@ -339,6 +476,15 @@ let () =
           Alcotest.test_case "partitioned variant trivial" `Quick
             test_bound_partitioned_often_trivial;
           Alcotest.test_case "empty graph" `Quick test_empty_graph_bound;
+        ] );
+      ( "closure-net",
+        [
+          Alcotest.test_case "max wavefront = reference" `Quick
+            test_max_wavefront_matches_reference;
+          Alcotest.test_case "visit = reference" `Quick test_visit_matches_reference;
+          Alcotest.test_case "sweep cut counts" `Quick test_sweep_cut_counts;
+          Alcotest.test_case "reused cut after other vertex" `Quick
+            test_reused_cut_after_other_vertex;
         ] );
       ("properties", props);
     ]

@@ -392,7 +392,7 @@ let () =
         ] );
       ( "paper-comparisons",
         [
-          Alcotest.test_case "spectral beats mincut" `Slow
+          Alcotest.test_case "spectral beats mincut" `Quick
             test_spectral_beats_mincut_on_large_instances;
           Alcotest.test_case "partitioned mincut trivial" `Quick
             test_mincut_partitioned_trivial;
