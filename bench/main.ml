@@ -60,10 +60,25 @@ let spectral_bounds g ~ms =
     (fun m -> (Spectral_bound.compute ~n ~m ~eigenvalues ()).Spectral_bound.bound)
     ms
 
-(* The expensive wavefront maximization is M-independent: do it once. *)
-let mincut_bounds g ~ms =
-  let best = Graphio_flow.Convex_mincut.max_wavefront g in
-  List.map (fun m -> Graphio_flow.Convex_mincut.bound_of_wavefront best ~m) ms
+let cells_of_floats = List.map Report.cell_float
+let cells_of_ints = List.map Report.cell_int
+
+(* The expensive wavefront maximization is M-independent: do it once.
+   Graphs above [mincut_max_vertices] get "-" cells.  The pruned sweep's
+   per-vertex upper bounds cost O(n (n + m)) before any max-flow runs: on
+   a 2-core x86-64 machine that pass takes 0.4 s on fft:10 (11264 vertices)
+   and 1.5 s on fft:11 (24576), whose whole sweep then needs 42 s of
+   max-flows.  Every figure graph up to 16384 vertices (fft l <= 10,
+   matmul n <= 20, strassen n <= 16, bhk l <= 13) finishes in under
+   1.5 s. *)
+let mincut_max_vertices = 16_384
+
+let mincut_cells g ~ms =
+  if Dag.n_vertices g <= mincut_max_vertices then
+    let best = Graphio_flow.Convex_mincut.max_wavefront g in
+    cells_of_ints
+      (List.map (fun m -> Graphio_flow.Convex_mincut.bound_of_wavefront best ~m) ms)
+  else List.map (fun _ -> "-") ms
 
 let simulated g ~ms =
   List.map
@@ -72,9 +87,6 @@ let simulated g ~ms =
         .Graphio_pebble.Simulator.io)
     ms
 
-let cells_of_floats = List.map Report.cell_float
-let cells_of_ints = List.map Report.cell_int
-
 (* ------------------------------------------------------------------ *)
 (* Figure 7: FFT                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -82,7 +94,6 @@ let cells_of_ints = List.map Report.cell_int
 let fig7 () =
   let ms = [ 4; 8; 16 ] in
   let ls = if !quick then [ 3; 4; 5; 6; 7 ] else [ 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ] in
-  let mincut_cutoff = if !quick then 5 else 7 in
   let r =
     Report.create ~title:"fig7-fft-bound-vs-l: I/O bound vs l for 2^l point FFT"
       ~columns:
@@ -97,10 +108,7 @@ let fig7 () =
       let g = Fft.build l in
       let spectral = spectral_bounds g ~ms in
       spectral_series := (l, Dag.n_vertices g, spectral) :: !spectral_series;
-      let mincut =
-        if l <= mincut_cutoff then cells_of_ints (mincut_bounds g ~ms)
-        else List.map (fun _ -> "-") ms
-      in
+      let mincut = mincut_cells g ~ms in
       let sim = simulated g ~ms:[ 4 ] in
       Report.add_row r
         (cells_of_ints [ l; Dag.n_vertices g ]
@@ -108,8 +116,8 @@ let fig7 () =
     ls;
   Report.note r
     (Printf.sprintf
-       "min-cut cut off above l=%d (O(n^5) runtime; the paper used a 1-day cutoff)"
-       mincut_cutoff);
+       "min-cut cut off above %d vertices (the sweep's upper-bound pass is quadratic in n)"
+       mincut_max_vertices);
   emit r;
   (* bottom panel: spectral bound vs l*2^l *)
   let r2 =
@@ -131,7 +139,6 @@ let fig7 () =
 let fig8 () =
   let ms = [ 32; 64; 128 ] in
   let ns = if !quick then [ 4; 6; 8 ] else [ 4; 6; 8; 10; 12; 14; 16; 20 ] in
-  let mincut_cutoff = if !quick then 6 else 8 in
   let r =
     Report.create ~title:"fig8-matmul-bound-vs-n: I/O bound vs n for n x n naive matmul"
       ~columns:
@@ -145,10 +152,7 @@ let fig8 () =
       let g = Matmul.build n in
       let spectral = spectral_bounds g ~ms in
       series := (n, spectral) :: !series;
-      let mincut =
-        if n <= mincut_cutoff then cells_of_ints (mincut_bounds g ~ms)
-        else List.map (fun _ -> "-") ms
-      in
+      let mincut = mincut_cells g ~ms in
       Report.add_row r
         (cells_of_ints [ n; Dag.n_vertices g ] @ cells_of_floats spectral @ mincut))
     ns;
@@ -172,7 +176,6 @@ let fig8 () =
 let fig9 () =
   let ms = [ 8; 16 ] in
   let ns = if !quick then [ 2; 4; 8 ] else [ 2; 4; 8; 16 ] in
-  let mincut_cutoff = 8 in
   let r =
     Report.create ~title:"fig9-strassen-bound-vs-n: I/O bound vs n for Strassen matmul"
       ~columns:
@@ -186,10 +189,7 @@ let fig9 () =
       let g = Strassen.build n in
       let spectral = spectral_bounds g ~ms in
       series := (n, spectral) :: !series;
-      let mincut =
-        if n <= mincut_cutoff then cells_of_ints (mincut_bounds g ~ms)
-        else List.map (fun _ -> "-") ms
-      in
+      let mincut = mincut_cells g ~ms in
       Report.add_row r
         (cells_of_ints [ n; Dag.n_vertices g ] @ cells_of_floats spectral @ mincut))
     ns;
@@ -215,7 +215,6 @@ let fig9 () =
 let fig10 () =
   let ms = [ 16; 32; 64 ] in
   let ls = if !quick then [ 6; 7; 8; 9; 10 ] else [ 6; 7; 8; 9; 10; 11; 12; 13 ] in
-  let mincut_cutoff = if !quick then 8 else 9 in
   let r =
     Report.create ~title:"fig10-bhk-bound-vs-l: I/O bound vs l for l-city TSP (BHK)"
       ~columns:
@@ -229,10 +228,7 @@ let fig10 () =
       let g = Bhk.build l in
       let spectral = spectral_bounds g ~ms in
       series := (l, spectral) :: !series;
-      let mincut =
-        if l <= mincut_cutoff then cells_of_ints (mincut_bounds g ~ms)
-        else List.map (fun _ -> "-") ms
-      in
+      let mincut = mincut_cells g ~ms in
       Report.add_row r (cells_of_ints [ l; 1 lsl l ] @ cells_of_floats spectral @ mincut))
     ls;
   emit r;

@@ -144,6 +144,70 @@ let matvec ?pool m x =
   matvec_into ?pool m x y;
   y
 
+(* Panel products: [x] and [y] hold row-major panels of [w] columns, entry
+   (i, c) at [i * w + c].  Each column keeps its own accumulator and adds
+   over a row left to right, exactly as [row_range] does, so column c of
+   [y] is bitwise the matvec of column c of [x].  The full-width panel
+   keeps its eight accumulators in registers and reads each stored entry
+   once for all eight columns; narrower (tail) panels walk the row once
+   per column. *)
+let panel_width = 8
+
+let check_panel name ~rows ~cols w x y =
+  if w < 1 || w > panel_width then
+    invalid_arg (Printf.sprintf "Csr.%s: panel width %d not in 1..%d" name w panel_width);
+  if Array.length x < cols * w || Array.length y < rows * w then
+    invalid_arg (Printf.sprintf "Csr.%s: dimension mismatch" name)
+
+let panel_range m w x y lo hi =
+  let row_ptr = m.row_ptr and col_idx = m.col_idx and values = m.values in
+  if w = panel_width then
+    for i = lo to hi - 1 do
+      let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+      let a4 = ref 0.0 and a5 = ref 0.0 and a6 = ref 0.0 and a7 = ref 0.0 in
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        let v = values.(k) and j = col_idx.(k) * 8 in
+        a0 := !a0 +. (v *. x.(j));
+        a1 := !a1 +. (v *. x.(j + 1));
+        a2 := !a2 +. (v *. x.(j + 2));
+        a3 := !a3 +. (v *. x.(j + 3));
+        a4 := !a4 +. (v *. x.(j + 4));
+        a5 := !a5 +. (v *. x.(j + 5));
+        a6 := !a6 +. (v *. x.(j + 6));
+        a7 := !a7 +. (v *. x.(j + 7))
+      done;
+      let o = i * 8 in
+      y.(o) <- !a0;
+      y.(o + 1) <- !a1;
+      y.(o + 2) <- !a2;
+      y.(o + 3) <- !a3;
+      y.(o + 4) <- !a4;
+      y.(o + 5) <- !a5;
+      y.(o + 6) <- !a6;
+      y.(o + 7) <- !a7
+    done
+  else
+    for i = lo to hi - 1 do
+      for c = 0 to w - 1 do
+        let acc = ref 0.0 in
+        for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          acc := !acc +. (values.(k) *. x.((col_idx.(k) * w) + c))
+        done;
+        y.((i * w) + c) <- !acc
+      done
+    done
+
+(* One panel product counts as [w] matvecs in the [la.csr.*] counters. *)
+let matmat_into ?pool m w x y =
+  check_panel "matmat" ~rows:m.rows ~cols:m.cols w x y;
+  Graphio_obs.Metrics.add c_matvecs w;
+  Graphio_obs.Metrics.add c_flops (w * Array.length m.values);
+  match pool with
+  | None -> panel_range m w x y 0 m.rows
+  | Some pool ->
+      Graphio_par.Pool.parallel_for pool ~lo:0 ~hi:m.rows (fun i ->
+          panel_range m w x y i (i + 1))
+
 (* Unboxed Bigarray mirror of the CSR layout.  Values stay float64; the
    two index arrays drop to int32, halving index-memory traffic on the
    matvec, and every access in the inner loop is unchecked.  The per-row
@@ -226,6 +290,68 @@ module Ba = struct
     let y = Array.make m.rows 0.0 in
     matvec_into ?pool m x y;
     y
+
+  (* Same per-column order as the [float array] [panel_range]. *)
+  let panel_range m w x y lo hi =
+    let row_ptr = m.row_ptr and col_idx = m.col_idx and values = m.values in
+    if w = panel_width then
+      for i = lo to hi - 1 do
+        let k0 = Int32.to_int (Bigarray.Array1.unsafe_get row_ptr i) in
+        let k1 = Int32.to_int (Bigarray.Array1.unsafe_get row_ptr (i + 1)) in
+        let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+        let a4 = ref 0.0 and a5 = ref 0.0 and a6 = ref 0.0 and a7 = ref 0.0 in
+        for k = k0 to k1 - 1 do
+          let v = Bigarray.Array1.unsafe_get values k in
+          let j = Int32.to_int (Bigarray.Array1.unsafe_get col_idx k) * 8 in
+          a0 := !a0 +. (v *. Array.unsafe_get x j);
+          a1 := !a1 +. (v *. Array.unsafe_get x (j + 1));
+          a2 := !a2 +. (v *. Array.unsafe_get x (j + 2));
+          a3 := !a3 +. (v *. Array.unsafe_get x (j + 3));
+          a4 := !a4 +. (v *. Array.unsafe_get x (j + 4));
+          a5 := !a5 +. (v *. Array.unsafe_get x (j + 5));
+          a6 := !a6 +. (v *. Array.unsafe_get x (j + 6));
+          a7 := !a7 +. (v *. Array.unsafe_get x (j + 7))
+        done;
+        let o = i * 8 in
+        Array.unsafe_set y o !a0;
+        Array.unsafe_set y (o + 1) !a1;
+        Array.unsafe_set y (o + 2) !a2;
+        Array.unsafe_set y (o + 3) !a3;
+        Array.unsafe_set y (o + 4) !a4;
+        Array.unsafe_set y (o + 5) !a5;
+        Array.unsafe_set y (o + 6) !a6;
+        Array.unsafe_set y (o + 7) !a7
+      done
+    else
+      for i = lo to hi - 1 do
+        let k0 = Int32.to_int (Bigarray.Array1.unsafe_get row_ptr i) in
+        let k1 = Int32.to_int (Bigarray.Array1.unsafe_get row_ptr (i + 1)) in
+        for c = 0 to w - 1 do
+          let acc = ref 0.0 in
+          for k = k0 to k1 - 1 do
+            let j = Int32.to_int (Bigarray.Array1.unsafe_get col_idx k) in
+            acc :=
+              !acc
+              +. (Bigarray.Array1.unsafe_get values k *. Array.unsafe_get x ((j * w) + c))
+          done;
+          Array.unsafe_set y ((i * w) + c) !acc
+        done
+      done
+
+  let matmat_into ?pool m w x y =
+    check_panel "Ba.matmat" ~rows:m.rows ~cols:m.cols w x y;
+    Graphio_obs.Metrics.add c_matvecs w;
+    Graphio_obs.Metrics.add c_flops (w * nnz m);
+    match pool with
+    | None ->
+        let i = ref 0 in
+        while !i < m.rows do
+          panel_range m w x y !i (min m.rows (!i + block_rows));
+          i := !i + block_rows
+        done
+    | Some pool ->
+        Graphio_par.Pool.parallel_for pool ~lo:0 ~hi:m.rows (fun i ->
+            panel_range m w x y i (i + 1))
 end
 
 type kernel = Arrays | Bigarray_blocked
@@ -241,6 +367,13 @@ let matvec_fn ?pool ?(kernel = default_kernel) m =
   | Bigarray_blocked ->
       let ba = Ba.of_csr m in
       fun x y -> Ba.matvec_into ?pool ba x y
+
+let matmat_fn ?pool ?(kernel = default_kernel) m =
+  match kernel with
+  | Arrays -> fun w x y -> matmat_into ?pool m w x y
+  | Bigarray_blocked ->
+      let ba = Ba.of_csr m in
+      fun w x y -> Ba.matmat_into ?pool ba w x y
 
 let scale c m = { m with values = Array.map (fun v -> c *. v) m.values }
 

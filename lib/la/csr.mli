@@ -101,3 +101,19 @@ val matvec_fn :
   (float array -> float array -> unit)
 (** Specialise a matvec closure for [m] under the chosen kernel; the
     Bigarray conversion (if any) happens once, here, not per matvec. *)
+
+val panel_width : int
+(** [8]: the widest panel {!matmat_fn} multiplies. *)
+
+val matmat_fn :
+  ?pool:Graphio_par.Pool.t -> ?kernel:kernel -> t ->
+  (int -> float array -> float array -> unit)
+(** Panel product: [matmat_fn m w x y] writes [m X] into [Y], where [X]
+    and [Y] are row-major panels of [w] columns ([1 <= w <= panel_width]),
+    entry (i, c) at index [i * w + c]; [x] needs at least [cols * w]
+    entries and only the first [rows * w] of [y] are written.  Each
+    column accumulates each row left to right with its own accumulator,
+    so column [c] of [Y] is bitwise equal to [matvec] of column [c] of
+    [X], under either kernel and with or without [pool] (which chunks by
+    rows only).  A call counts [w] matvecs and [w * nnz] FMAs in the
+    [la.csr.*] counters. *)

@@ -20,43 +20,113 @@ let degree_of_string s =
       | Some d when d >= 2 -> Some (Fixed d)
       | _ -> None)
 
-(* Degree-[d] Chebyshev filter applied to one vector, in place:
-   x <- T_d((A - c I)/e) x  with  c = (up + cut)/2, e = (up - cut)/2.
-   T_d is <= 1 in magnitude on [cut, up] and grows like
+(* The block is filtered [Csr.panel_width] columns at a time: each panel
+   is packed row-major (entry (i, c) at [i * w + c]) so one [matmat] per
+   Chebyshev step reads the operator once for all its columns.  The panel
+   buffers are allocated once per solve and reused by every sweep. *)
+let panel = Csr.panel_width
+
+type panels = {
+  t0 : float array;
+  t1 : float array;
+  t2 : float array;
+  ax : float array;
+  nrm : float array;  (* per-column running max |entry| *)
+}
+
+let panels n =
+  let buf () = Array.make (n * panel) 0.0 in
+  { t0 = buf (); t1 = buf (); t2 = buf (); ax = buf (); nrm = Array.make panel 0.0 }
+
+(* [f j0 w] over consecutive panels of a [b]-column block. *)
+let iter_panels b f =
+  let j0 = ref 0 in
+  while !j0 < b do
+    let w = min panel (b - !j0) in
+    f !j0 w;
+    j0 := !j0 + w
+  done
+
+let pack block j0 w dst =
+  for c = 0 to w - 1 do
+    let col = block.(j0 + c) in
+    for i = 0 to Array.length col - 1 do
+      dst.((i * w) + c) <- col.(i)
+    done
+  done
+
+let unpack src block j0 w =
+  for c = 0 to w - 1 do
+    let col = block.(j0 + c) in
+    for i = 0 to Array.length col - 1 do
+      col.(i) <- src.((i * w) + c)
+    done
+  done
+
+(* out <- A X for the whole block, one panel product per panel. *)
+let block_product ~matmat ~matvec_count p block out =
+  iter_panels (Array.length block) (fun j0 w ->
+      pack block j0 w p.t0;
+      matmat w p.t0 p.ax;
+      matvec_count := !matvec_count + w;
+      unpack p.ax out j0 w)
+
+(* Degree-[d] Chebyshev filter applied in place to block columns
+   [j0, j0 + w):  x <- T_d((A - c I)/e) x  with  c = (up + cut)/2,
+   e = (up - cut)/2.  T_d is <= 1 in magnitude on [cut, up] and grows like
    cosh(d arccosh(|t|)) below cut, so wanted components dominate after
    filtering.  Columns are renormalized when they grow huge; the caller
-   re-orthonormalizes afterwards anyway. *)
-let chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree x =
-  let n = Array.length x in
-  let t0 = Array.copy x in
-  let t1 = Array.make n 0.0 in
-  let av = Array.make n 0.0 in
-  matvec t0 av;
-  incr matvec_count;
-  for i = 0 to n - 1 do
-    t1.(i) <- (av.(i) -. (c *. t0.(i))) /. e
+   re-orthonormalizes afterwards anyway.  Every column goes through the
+   per-vector three-term recurrence operation for operation (the overflow
+   guard is the [Float.max] fold of |entries|, fused into the update), so
+   the panel filter is bitwise the one-vector-at-a-time filter. *)
+let chebyshev_panel ~matmat ~matvec_count ~c ~e ~degree p block j0 w =
+  let n = Array.length block.(j0) in
+  let len = n * w in
+  pack block j0 w p.t0;
+  let ax = p.ax and nrm = p.nrm in
+  matmat w p.t0 ax;
+  matvec_count := !matvec_count + w;
+  for k = 0 to len - 1 do
+    p.t1.(k) <- (ax.(k) -. (c *. p.t0.(k))) /. e
   done;
-  let t2 = Array.make n 0.0 in
-  let t0 = ref t0 and t1 = ref t1 and t2 = ref t2 in
+  (* the per-vector update formed [2.0 /. e] inside the loop: the same
+     double, so hoisting it changes no bit *)
+  let two_e = 2.0 /. e in
+  let t0 = ref p.t0 and t1 = ref p.t1 and t2 = ref p.t2 in
   for _ = 2 to degree do
-    matvec !t1 av;
-    incr matvec_count;
+    matmat w !t1 ax;
+    matvec_count := !matvec_count + w;
     let a = !t0 and b = !t1 and out = !t2 in
+    Array.fill nrm 0 w 0.0;
     for i = 0 to n - 1 do
-      out.(i) <- (2.0 /. e *. (av.(i) -. (c *. b.(i)))) -. a.(i)
+      let base = i * w in
+      for col = 0 to w - 1 do
+        let k = base + col in
+        let v = (two_e *. (ax.(k) -. (c *. b.(k)))) -. a.(k) in
+        out.(k) <- v;
+        let av = Float.abs v in
+        if av > nrm.(col) || Float.is_nan av then nrm.(col) <- av
+      done
     done;
     (* guard against overflow of the unnormalized polynomial *)
-    let nrm = Vec.norm_inf out in
-    if nrm > 1e120 then begin
-      let s = 1.0 /. nrm in
-      Vec.scale_inplace s out;
-      Vec.scale_inplace s b
-    end;
+    for col = 0 to w - 1 do
+      let m = nrm.(col) in
+      if m > 1e120 then begin
+        let s = 1.0 /. m in
+        let k = ref col in
+        while !k < len do
+          out.(!k) <- s *. out.(!k);
+          b.(!k) <- s *. b.(!k);
+          k := !k + w
+        done
+      end
+    done;
     t0 := b;
     t1 := out;
     t2 := a
   done;
-  !t1
+  unpack !t1 block j0 w
 
 (* Orthonormalize the block in place (two-pass modified Gram-Schmidt);
    columns that collapse are replaced by fresh random directions
@@ -178,7 +248,7 @@ let auto_degree ~prev ~locked ~blocking_res ~threshold ~c ~e ~theta_block =
   (max min_auto_degree (min max_auto_degree (min cap d)), t)
 
 let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
-    ?(seed = 0x5eed) ?(want_vectors = false) ?init ?on_iteration ~matvec
+    ?(seed = 0x5eed) ?(want_vectors = false) ?init ?on_iteration ~matmat
     ~upper_bound ~n ~h () =
   if n <= 0 then invalid_arg "Filtered.smallest: n must be positive";
   if h <= 0 then invalid_arg "Filtered.smallest: h must be positive";
@@ -207,6 +277,7 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
   in
   orthonormalize_block rng block;
   let ax = Array.init b (fun _ -> Array.make n 0.0) in
+  let p = panels n in
   let theta = ref [||] in
   let ritz = ref (Mat.identity b) in
   let converged_prefix = ref 0 in
@@ -235,10 +306,7 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
   while (not !finished) && !iterations < max_iterations do
     incr iterations;
     (* Rayleigh-Ritz data: AX, H = X^T A X, G = (AX)^T AX. *)
-    for j = 0 to b - 1 do
-      matvec block.(j) ax.(j);
-      incr matvec_count
-    done;
+    block_product ~matmat ~matvec_count p block ax;
     let hmat = Mat.create b b and gmat = Mat.create b b in
     for i = 0 to b - 1 do
       for j = i to b - 1 do
@@ -344,10 +412,8 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
             ("spread", Graphio_obs.Jsonx.Float t);
           ];
       prev_sweep := Some (d, t, !blocking_res);
-      for j = 0 to b - 1 do
-        block.(j) <-
-          chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree:d block.(j)
-      done;
+      iter_panels b (fun j0 w ->
+          chebyshev_panel ~matmat ~matvec_count ~c ~e ~degree:d p block j0 w);
       orthonormalize_block rng block
     end
   done;
@@ -390,6 +456,6 @@ let smallest_csr ?tol ?max_iterations ?degree ?guard ?seed ?want_vectors ?init
   if rows <> cols then invalid_arg "Filtered.smallest_csr: matrix not square";
   smallest ?tol ?max_iterations ?degree ?guard ?seed ?want_vectors ?init
     ?on_iteration
-    ~matvec:(Csr.matvec_fn ?pool ?kernel m)
+    ~matmat:(Csr.matmat_fn ?pool ?kernel m)
     ~upper_bound:(Csr.gershgorin_upper m)
     ~n:rows ~h ()

@@ -62,16 +62,20 @@ val smallest :
   ?want_vectors:bool ->
   ?init:float array array ->
   ?on_iteration:Convergence.callback ->
-  matvec:(float array -> float array -> unit) ->
+  matmat:(int -> float array -> float array -> unit) ->
   upper_bound:float ->
   n:int ->
   h:int ->
   unit ->
   result
-(** [smallest ~matvec ~upper_bound ~n ~h ()] returns the [h] smallest
+(** [smallest ~matmat ~upper_bound ~n ~h ()] returns the [h] smallest
     eigenvalues of the symmetric operator.
 
-    - [matvec x y] writes [A x] into [y];
+    - [matmat w x y] writes [A X] into [Y] for row-major panels of [w]
+      columns ([1 <= w <= Csr.panel_width], entry (i, c) at [i * w + c];
+      {!Csr.matmat_fn}).  The block is filtered and multiplied one
+      [Csr.panel_width]-column panel at a time (the last panel may be
+      narrower), and a panel product counts [w] matvecs;
     - [upper_bound] must dominate the largest eigenvalue (Gershgorin for
       CSR matrices: {!Csr.gershgorin_upper});
     - [tol] is the residual threshold relative to [upper_bound]
@@ -106,6 +110,6 @@ val smallest_csr :
   h:int ->
   result
 (** Wrapper over a symmetric CSR matrix (upper bound via Gershgorin).
-    [pool] parallelizes the matvecs row-chunked across domains and
-    [kernel] selects the matvec kernel ({!Csr.default_kernel} when
-    omitted); neither changes any result bitwise ({!Csr.matvec_fn}). *)
+    [pool] parallelizes the panel products row-chunked across domains and
+    [kernel] selects the kernel ({!Csr.default_kernel} when omitted);
+    neither changes any result bitwise ({!Csr.matmat_fn}). *)

@@ -19,26 +19,35 @@ let dot x y =
   !acc
 
 let norm2 x =
-  (* Scaled to avoid overflow/underflow for extreme magnitudes. *)
+  (* Scaled to avoid overflow/underflow for extreme magnitudes.  Local
+     refs in a plain loop stay unboxed: no allocation per element. *)
   let scale = ref 0.0 and ssq = ref 1.0 in
-  Array.iter
-    (fun xi ->
-      if xi <> 0.0 then begin
-        let absxi = Float.abs xi in
-        if !scale < absxi then begin
-          let r = !scale /. absxi in
-          ssq := 1.0 +. (!ssq *. r *. r);
-          scale := absxi
-        end
-        else begin
-          let r = absxi /. !scale in
-          ssq := !ssq +. (r *. r)
-        end
-      end)
-    x;
+  for i = 0 to Array.length x - 1 do
+    let xi = x.(i) in
+    if xi <> 0.0 then begin
+      let absxi = Float.abs xi in
+      if !scale < absxi then begin
+        let r = !scale /. absxi in
+        ssq := 1.0 +. (!ssq *. r *. r);
+        scale := absxi
+      end
+      else begin
+        let r = absxi /. !scale in
+        ssq := !ssq +. (r *. r)
+      end
+    end
+  done;
   !scale *. sqrt !ssq
 
-let norm_inf x = Array.fold_left (fun acc xi -> Float.max acc (Float.abs xi)) 0.0 x
+(* [Float.max] over [|x_i|] from 0., NaN-propagating, without the boxed
+   fold accumulator: a NaN entry sticks because nothing compares above it. *)
+let norm_inf x =
+  let m = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    let a = Float.abs x.(i) in
+    if a > !m || Float.is_nan a then m := a
+  done;
+  !m
 
 let scale a x = Array.map (fun xi -> a *. xi) x
 

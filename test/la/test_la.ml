@@ -597,6 +597,222 @@ let test_eigen_pooled_path_bitwise () =
            seq.Eigen.values par.Eigen.values))
 
 (* ------------------------------------------------------------------ *)
+(* Panel filter bitwise battery: [Csr.matmat_fn] against column        *)
+(* matvecs, and the panel-filtered solver against the per-vector       *)
+(* [Reference] solver it replaced                                      *)
+(* ------------------------------------------------------------------ *)
+
+let same_result name (r : Filtered.result) (e : Filtered.result) =
+  Alcotest.(check bool) (name ^ ": values bitwise") true
+    (bitwise_equal r.Filtered.values e.Filtered.values);
+  Alcotest.(check int) (name ^ ": matvecs") e.Filtered.matvecs r.Filtered.matvecs;
+  Alcotest.(check int) (name ^ ": iterations") e.Filtered.iterations
+    r.Filtered.iterations;
+  Alcotest.(check int) (name ^ ": padded") e.Filtered.padded r.Filtered.padded;
+  Alcotest.(check bool) (name ^ ": converged") e.Filtered.converged
+    r.Filtered.converged;
+  match (r.Filtered.vectors, e.Filtered.vectors) with
+  | None, None -> ()
+  | Some a, Some b ->
+      Alcotest.(check bool) (name ^ ": vectors bitwise") true
+        (Array.length a = Array.length b && Array.for_all2 bitwise_equal a b)
+  | _ -> Alcotest.fail (name ^ ": vectors present on one side only")
+
+let graph_laplacians =
+  let open Graphio_graph in
+  let spec s =
+    match Graphio_workloads.Spec.parse s with
+    | Ok g -> g
+    | Error e -> failwith e
+  in
+  (* a grid whose every 7th cell gains a diagonal: no closed form *)
+  let perturbed_grid side =
+    let b = Dag.Builder.create () in
+    for _ = 1 to side * side do
+      ignore (Dag.Builder.add_vertex b)
+    done;
+    for i = 0 to side - 1 do
+      for j = 0 to side - 1 do
+        let v = (i * side) + j in
+        if i > 0 then Dag.Builder.add_edge b (v - side) v;
+        if j > 0 then Dag.Builder.add_edge b (v - 1) v;
+        if i < side - 1 && j < side - 1 && v mod 7 = 0 then
+          Dag.Builder.add_edge b v (v + side + 1)
+      done
+    done;
+    Dag.Builder.build b
+  in
+  lazy
+    (List.concat_map
+       (fun (name, g) ->
+         [ (name ^ "/standard", Laplacian.standard g);
+           (name ^ "/normalized", Laplacian.normalized g) ])
+       [ ("matmul-binary:6", spec "matmul-binary:6");
+         ("bhk:8", spec "bhk:8");
+         ("grid16+diag", perturbed_grid 16);
+         ("er300", Er.gnp ~n:300 ~p:0.03 ~seed:7) ])
+
+let test_panel_filter_graphs () =
+  (* every graph under both Laplacians: Auto on the standard one, Fixed on
+     the normalized one *)
+  List.iteri
+    (fun i (name, lap) ->
+      let degree = if i mod 2 = 0 then Filtered.Auto else Filtered.Fixed 20 in
+      let name = name ^ "/" ^ Filtered.degree_name degree in
+      same_result name
+        (Filtered.smallest_csr ~degree lap ~h:32)
+        (Reference.smallest_csr ~degree lap ~h:32))
+    (Lazy.force graph_laplacians)
+
+let test_panel_filter_degrees () =
+  (* the other pairings, on bhk:8 *)
+  List.iter
+    (fun (i, degree) ->
+      let name, lap = List.nth (Lazy.force graph_laplacians) i in
+      let name = name ^ "/" ^ Filtered.degree_name degree in
+      same_result name
+        (Filtered.smallest_csr ~degree lap ~h:32)
+        (Reference.smallest_csr ~degree lap ~h:32))
+    [ (2, Filtered.Fixed 20); (3, Filtered.Auto) ]
+
+let test_panel_filter_tail_and_warm () =
+  (* h = 21 with guard 16: a 37-column block, four full panels and a
+     5-column tail; then a warm start from a smaller donor, with vectors *)
+  let _, lap = List.nth (Lazy.force graph_laplacians) 4 in
+  same_result "tail panel"
+    (Filtered.smallest_csr ~guard:16 lap ~h:21)
+    (Reference.smallest_csr ~guard:16 lap ~h:21);
+  let donor = Filtered.smallest_csr ~want_vectors:true lap ~h:12 in
+  let init = Option.get donor.Filtered.vectors in
+  same_result "warm start"
+    (Filtered.smallest_csr ~init ~want_vectors:true ~guard:13 lap ~h:21)
+    (Reference.smallest_csr ~init ~want_vectors:true ~guard:13 lap ~h:21)
+
+let test_panel_filter_kernels_and_pool () =
+  let _, lap = List.nth (Lazy.force graph_laplacians) 6 in
+  let expected = Reference.smallest_csr lap ~h:19 in
+  same_result "arrays kernel" (Filtered.smallest_csr ~kernel:Csr.Arrays lap ~h:19) expected;
+  Graphio_par.Pool.with_pool ~size:2 (fun pool ->
+      List.iter
+        (fun kernel ->
+          same_result
+            ("pool/" ^ Csr.kernel_name kernel)
+            (Filtered.smallest_csr ~pool ~kernel lap ~h:19)
+            expected)
+        [ Csr.Arrays; Csr.Bigarray_blocked ])
+
+let test_panel_filter_overflow_rescale () =
+  (* four wanted eigenvalues near 0 under a spectrum spread over [50, 100]:
+     the cut sits near half the upper bound, so |T_d| at 0 grows like
+     cosh(1.76 d), past the 1e120 guard well inside a degree-200 filter *)
+  let n = 64 in
+  let triplets = ref [] in
+  for i = 0 to n - 1 do
+    let d =
+      if i < 4 then 0.25 *. float_of_int i
+      else 50.0 +. (50.0 *. float_of_int (i - 4) /. float_of_int (n - 5))
+    in
+    triplets := (i, i, d) :: !triplets;
+    if i > 0 then triplets := (i, i - 1, 0.01) :: (i - 1, i, 0.01) :: !triplets
+  done;
+  let m = Csr.of_triplets ~rows:n ~cols:n !triplets in
+  let degree = Filtered.Fixed 200 in
+  Reference.rescales := 0;
+  let expected = Reference.smallest_csr ~degree m ~h:4 in
+  Alcotest.(check bool) "the reference rescaled" true (!Reference.rescales > 0);
+  same_result "overflow rescale" (Filtered.smallest_csr ~degree m ~h:4) expected
+
+(* a random sparse matrix with empty rows, unreferenced columns and
+   entries spread over 2^-10 .. 2^20, so any reordering of a row's sum
+   shows in the low bits *)
+let random_csr rng ~rows ~cols =
+  let triplets = ref [] in
+  for i = 0 to rows - 1 do
+    if Rng.float rng > 0.25 then
+      for j = 0 to cols - 1 do
+        if Rng.float rng < 0.2 then
+          let scale = Float.ldexp 1.0 (Rng.int rng 31 - 10) in
+          triplets := (i, j, Rng.gaussian rng *. scale) :: !triplets
+      done
+  done;
+  Csr.of_triplets ~rows ~cols !triplets
+
+let prop_matmat_bitwise =
+  QCheck2.Test.make ~name:"matmat equals w column matvecs bitwise" ~count:120
+    QCheck2.Gen.(
+      quad (int_range 1 40) (int_range 1 40) (int_range 1 Csr.panel_width)
+        (int_range 0 1_000_000))
+    (fun (rows, cols, w, seed) ->
+      let rng = Rng.create seed in
+      let m = random_csr rng ~rows ~cols in
+      let x = Array.init (cols * w) (fun _ -> Rng.gaussian rng) in
+      let expected =
+        Array.init w (fun c -> Csr.matvec m (Array.init cols (fun i -> x.((i * w) + c))))
+      in
+      let agrees y =
+        let ok = ref true in
+        for i = 0 to rows - 1 do
+          for c = 0 to w - 1 do
+            if Int64.bits_of_float y.((i * w) + c)
+               <> Int64.bits_of_float expected.(c).(i)
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      let run ?pool kernel =
+        let y = Array.make (rows * w) Float.nan in
+        Csr.matmat_fn ?pool ~kernel m w x y;
+        agrees y
+      in
+      let kernels = [ Csr.Arrays; Csr.Bigarray_blocked ] in
+      List.for_all (fun k -> run k) kernels
+      && Graphio_par.Pool.with_pool ~size:2 (fun pool ->
+             List.for_all (fun k -> run ~pool k) kernels))
+
+let test_matmat_counts () =
+  let m = laplacian_path 10 in
+  let matvecs = Graphio_obs.Metrics.counter "la.csr.matvecs"
+  and flops = Graphio_obs.Metrics.counter "la.csr.fma_flops" in
+  let mv0 = Graphio_obs.Metrics.counter_value matvecs
+  and fl0 = Graphio_obs.Metrics.counter_value flops in
+  Csr.matmat_fn m 5 (Array.make 50 1.0) (Array.make 50 0.0);
+  Alcotest.(check int) "w matvecs" 5 (Graphio_obs.Metrics.counter_value matvecs - mv0);
+  Alcotest.(check int) "w * nnz fmas" (5 * Csr.nnz m)
+    (Graphio_obs.Metrics.counter_value flops - fl0);
+  Alcotest.check_raises "width above the panel"
+    (Invalid_argument "Csr.Ba.matmat: panel width 9 not in 1..8") (fun () ->
+      Csr.matmat_fn m 9 (Array.make 90 1.0) (Array.make 90 0.0))
+
+(* vectors mixing zeros (both signs) with values across 20 binades, plus
+   the odd infinity and NaN *)
+let binade_vec_gen =
+  QCheck2.Gen.(
+    let entry =
+      let* kind = int_range 0 19 in
+      if kind < 5 then oneofl [ 0.0; -0.0 ]
+      else if kind = 5 then oneofl [ Float.infinity; Float.nan ]
+      else
+        let* mant = float_range (-1.0) 1.0 in
+        let* e = int_range (-10) 9 in
+        return (Float.ldexp mant e)
+    in
+    let* n = int_range 0 40 in
+    array_size (return n) entry)
+
+let prop_norms_bitwise =
+  (* a NaN result only has to be NaN: which payload survives an SSE add
+     of two NaNs depends on operand order, which is the compiler's choice *)
+  let same a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    || (Float.is_nan a && Float.is_nan b)
+  in
+  QCheck2.Test.make ~name:"loop norms equal the old folds bitwise" ~count:300
+    ~print:(fun x -> String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") x)))
+    binade_vec_gen (fun x ->
+      same (Vec.norm2 x) (Reference.norm2 x) && same (Vec.norm_inf x) (Reference.norm_inf x))
+
+(* ------------------------------------------------------------------ *)
 (* Toeplitz                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -708,6 +924,8 @@ let props =
       prop_gram_matrix_psd;
       prop_csr_matvec_linear;
       prop_ba_matvec_bitwise;
+      prop_matmat_bitwise;
+      prop_norms_bitwise;
     ]
 
 let () =
@@ -805,6 +1023,20 @@ let () =
           Alcotest.test_case "paths agree" `Quick test_eigen_paths_agree;
           Alcotest.test_case "pooled path bitwise" `Quick
             test_eigen_pooled_path_bitwise;
+        ] );
+      ( "panel-filter",
+        [
+          Alcotest.test_case "matmat counts and width" `Quick test_matmat_counts;
+          Alcotest.test_case "graphs x laplacians x degree" `Quick
+            test_panel_filter_graphs;
+          Alcotest.test_case "remaining laplacian x degree pairs" `Quick
+            test_panel_filter_degrees;
+          Alcotest.test_case "tail panel and warm start" `Quick
+            test_panel_filter_tail_and_warm;
+          Alcotest.test_case "kernels and pool" `Quick
+            test_panel_filter_kernels_and_pool;
+          Alcotest.test_case "overflow rescale" `Quick
+            test_panel_filter_overflow_rescale;
         ] );
       ( "toeplitz",
         [
